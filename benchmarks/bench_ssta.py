@@ -11,9 +11,14 @@ things worth timing and gating:
   oracle swept on the shm warm pool — asserted here and in
   ``tests/sta/test_ssta.py`` so a regression fails both rungs.
 
-Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the design and the sample
-count so the CI trajectory gate finishes in seconds; the tolerance
-assertions stay identical in both modes.
+A size sweep times :func:`analyze_ssta` alone at growing gate counts
+and reports milliseconds per gate, so the cost's slope in design size
+(super-linear while every arrival carries its whole fan-in cone of
+residual terms) lands in the trajectory ledger.
+
+Quick mode (``REPRO_BENCH_QUICK=1``) shrinks the design, the sample
+count and the sweep so the CI trajectory gate finishes in seconds; the
+tolerance assertions stay identical in both modes.
 """
 
 import os
@@ -37,6 +42,11 @@ SIGMA_TOL = 0.05
 
 LAYERS, WIDTH = (4, 6) if QUICK else (6, 15)
 SAMPLES = 1500 if QUICK else 6000
+
+#: (layers, width) of the size sweep: 90 and 250 gates in quick mode;
+#: 90, 500 and 1,000 gates in full mode.
+SWEEP = [(6, 15), (10, 25)] if QUICK else [(6, 15), (20, 25), (20, 50)]
+SWEEP_REPEATS = 3
 
 DESIGN = random_design(layers=LAYERS, width=WIDTH, seed=3)
 MODEL = ProcessModel(
@@ -93,3 +103,34 @@ def test_ssta_vs_monte_carlo(benchmark):
     assert validation.within(MEAN_TOL, SIGMA_TOL)
     # Statistical max never undershoots the deterministic corner.
     assert critical.mu >= ssta.nominal.critical_delay * (1 - 1e-12)
+
+
+def test_ssta_size_sweep():
+    rows = []
+    wall_s = {}
+    ms_per_gate = {}
+    for layers, width in SWEEP:
+        design = random_design(layers=layers, width=width, seed=3)
+        gates = len(design.instances)
+        analyze_ssta(design, MODEL)     # warm-up: imports, caches
+        times = []
+        for _ in range(SWEEP_REPEATS):
+            start = time.perf_counter()
+            analyze_ssta(design, MODEL)
+            times.append(time.perf_counter() - start)
+        best = min(times)
+        wall_s[str(gates)] = best
+        ms_per_gate[str(gates)] = best * 1e3 / gates
+        rows.append([f"{layers}x{width}", str(gates), f"{best * 1e3:.0f}",
+                     f"{best * 1e3 / gates:.3f}"])
+    sizes = list(ms_per_gate)
+    slope = ms_per_gate[sizes[-1]] / ms_per_gate[sizes[0]]
+    report(
+        "ssta_sweep",
+        f"analyze_ssta cost by design size (best of {SWEEP_REPEATS}; "
+        f"ms/gate {sizes[-1]} vs {sizes[0]} gates: {slope:.2f}x)",
+        ["design", "gates", "analyze_ssta ms", "ms per gate"],
+        rows,
+        extra={"wall_s": wall_s, "wall_ms_per_gate": ms_per_gate,
+               "ms_per_gate_growth": slope},
+    )

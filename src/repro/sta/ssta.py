@@ -21,9 +21,11 @@ gate-level SSTA formulation surveyed in arXiv:2401.03588:
 * **Propagation** — the nominal forest walk of :mod:`repro.sta.timing`
   runs first (batched forest sweeps, sharded/warm-pool capable); the
   statistical walk then mirrors it pin for pin, with exact Gaussian
-  ``add`` and Clark moment-matched ``max``.  Residual coefficients stay
-  *labeled* per element/gate, so reconvergent fanout keeps its
-  common-path correlation exactly.
+  ``add`` and Clark moment-matched ``max``.  Each call builds its own
+  :class:`~repro.core.canonical.SourceIndex` from the design's structure
+  (one independent source per net R and C element, per gate instance,
+  per max operation), so reconvergent fanout keeps its common-path
+  correlation exactly and no two elements can share a source by name.
 
 * **Validation** — :func:`monte_carlo_arrivals` replays the identical
   correlated draws through the batched Elmore engine ((B, N) forest
@@ -50,6 +52,7 @@ from repro._exceptions import AnalysisError, TimingGraphError
 from repro.core.batch import batch_elmore_delays, compile_forest
 from repro.core.canonical import (
     CanonicalForm,
+    SourceIndex,
     canonical_constant,
     canonical_max_many,
 )
@@ -151,22 +154,33 @@ def _net_delay_forms(
     elaborated,
     model: ProcessModel,
     nominal_delays: Dict[Pin, float],
+    sources: Optional[SourceIndex] = None,
 ) -> Dict[Pin, CanonicalForm]:
     """Canonical delay form per sink of one elaborated net.
 
     The form's mean is the batched nominal Elmore delay; the linear
-    coefficients come from the exact bilinear sensitivities.  Residual
-    labels are per *element*, shared between sinks of the same net, so
-    sink-to-sink (and reconvergent-path) correlation is exact.
+    coefficients come from the exact bilinear sensitivities.  The net
+    reserves one residual source per R element and per C element
+    (named ``<net>.r<i>`` / ``<net>.c<i>``), shared between its sinks,
+    so sink-to-sink (and reconvergent-path) correlation is exact.
+    Without ``sources`` the forms get an index of their own.
     """
+    if sources is None:
+        sources = SourceIndex()
     tree = elaborated.tree
     sr, sc = model.variation.sigma_arrays(tree)
     res = tree.resistances
     cap = tree.capacitances
+    n = res.shape[0]
+    base = sources.reserve(
+        2 * n,
+        lambda k: f"{net_name}.r{k}" if k < n else f"{net_name}.c{k - n}",
+    )
     root_r = math.sqrt(model.rho_r)
     root_c = math.sqrt(model.rho_c)
     resid_r = math.sqrt(1.0 - model.rho_r)
     resid_c = math.sqrt(1.0 - model.rho_c)
+    empty = np.empty(0, dtype=np.int64)
     forms: Dict[Pin, CanonicalForm] = {}
     for sink, node in elaborated.sink_nodes.items():
         sens = elmore_sensitivity(tree, node)
@@ -174,39 +188,45 @@ def _net_delay_forms(
         gc = sens.dC * cap * sc
         a = np.array([root_r * float(gr.sum()),
                       root_c * float(gc.sum()), 0.0])
-        resid: Dict[str, float] = {}
-        if resid_r > 0.0:
-            for i in np.flatnonzero(gr):
-                resid[f"{net_name}.r{i}"] = resid_r * float(gr[i])
-        if resid_c > 0.0:
-            for i in np.flatnonzero(gc):
-                resid[f"{net_name}.c{i}"] = resid_c * float(gc[i])
-        forms[sink] = CanonicalForm(nominal_delays[sink], a, resid)
+        on_r = gr.nonzero()[0] if resid_r > 0.0 else empty
+        on_c = gc.nonzero()[0] if resid_c > 0.0 else empty
+        forms[sink] = CanonicalForm.from_arrays(
+            nominal_delays[sink], a,
+            np.concatenate((base + on_r, base + n + on_c)),
+            np.concatenate((resid_r * gr[on_r], resid_c * gc[on_c])),
+            sources,
+        )
     _FORMS.inc(len(forms))
     return forms
 
 
 def _stage_form(
-    model: ProcessModel, instance: str, stage_nominal: float
+    model: ProcessModel,
+    cell_source: int,
+    stage_nominal: float,
+    sources: SourceIndex,
 ) -> CanonicalForm:
     """Canonical form of one gate stage delay.
 
     The whole stage (intrinsic + slew-dependent part, both proportional
     to the cell's speed) scales with the cell-speed variation; the
-    residual label is per *instance*, so the same gate's stages through
-    different input pins stay perfectly correlated.
+    residual source ``cell_source`` is per *instance*, so the same
+    gate's stages through different input pins stay perfectly
+    correlated.
     """
     if model.cell_sigma <= 0.0 or stage_nominal == 0.0:
-        return canonical_constant(stage_nominal, len(PROCESS_VARIABLES))
+        return canonical_constant(
+            stage_nominal, len(PROCESS_VARIABLES), sources
+        )
     scale = model.cell_sigma * stage_nominal
     a = np.array([0.0, 0.0, math.sqrt(model.rho_cell) * scale])
-    resid: Dict[str, float] = {}
+    ids: List[int] = []
+    coeffs: List[float] = []
     if model.rho_cell < 1.0:
-        resid[f"cell.{instance}"] = (
-            math.sqrt(1.0 - model.rho_cell) * scale
-        )
+        ids.append(cell_source)
+        coeffs.append(math.sqrt(1.0 - model.rho_cell) * scale)
     _FORMS.inc()
-    return CanonicalForm(stage_nominal, a, resid)
+    return CanonicalForm.from_arrays(stage_nominal, a, ids, coeffs, sources)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +326,7 @@ class SSTAReport:
         shifted = [
             self.outputs[port].shifted(-reqs[port]) for port in self.outputs
         ]
-        worst, _ = canonical_max_many(shifted, label="max.slack")
+        worst, _ = canonical_max_many(shifted, label="slack")
         return worst.prob_gt(0.0)
 
 
@@ -359,6 +379,10 @@ def analyze_ssta(
                 f"(got {nominal.delay_model!r})"
             )
         num_vars = len(PROCESS_VARIABLES)
+        # Independent sources of this analysis: every net's R and C
+        # elements, then one per gate instance; the max operations
+        # intern theirs (``<gate>.max#<i>``, ``outputs#<i>``) as they run.
+        sources = SourceIndex()
 
         with _span("ssta.extract", nets=len(nominal.nets)):
             net_forms: Dict[str, Dict[Pin, CanonicalForm]] = {}
@@ -370,8 +394,15 @@ def analyze_ssta(
 
                     delays = cache[net_name] = _elmore_model(elaborated)
                 net_forms[net_name] = _net_delay_forms(
-                    net_name, elaborated, model, delays
+                    net_name, elaborated, model, delays, sources
                 )
+        instances = list(design.instances)
+        cell_base = sources.reserve(
+            len(instances), lambda k: f"{instances[k]}.cell"
+        )
+        cell_source = {
+            name: cell_base + i for i, name in enumerate(instances)
+        }
 
         arrival: Dict[Pin, CanonicalForm] = {}
         events: List[Tuple[str, str]] = []
@@ -398,7 +429,7 @@ def analyze_ssta(
         for port in design.inputs:
             pin = Pin(Pin.PORT, port)
             arrival[pin] = canonical_constant(
-                (input_arrivals or {}).get(port, 0.0), num_vars
+                (input_arrivals or {}).get(port, 0.0), num_vars, sources
             )
 
         graph = design.instance_graph()
@@ -417,11 +448,13 @@ def analyze_ssta(
                     + cell.slew_impact * nominal.slew[pin]
                 )
                 candidates.append(
-                    arrival[pin] + _stage_form(model, node, stage_nominal)
+                    arrival[pin] + _stage_form(
+                        model, cell_source[node], stage_nominal, sources
+                    )
                 )
                 pins.append(pin)
             out_form, weights = canonical_max_many(
-                candidates, label=f"max.{node}"
+                candidates, label=f"{node}.max"
             )
             if len(candidates) > 1:
                 _MAX_OPS.inc(len(candidates) - 1)
@@ -441,7 +474,7 @@ def analyze_ssta(
         }
         with _span("ssta.max", outputs=len(outputs)):
             critical, out_weights = canonical_max_many(
-                list(outputs.values()), label="max.outputs"
+                list(outputs.values()), label="outputs"
             )
             if len(outputs) > 1:
                 _MAX_OPS.inc(len(outputs) - 1)

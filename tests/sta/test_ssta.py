@@ -1,9 +1,18 @@
 """Tests for the statistical STA engine (canonical forms + Clark max)."""
 
+import gc
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro._exceptions import AnalysisError, TimingGraphError
+from repro.core import canonical
 from repro.core.variation import VariationModel, monte_carlo_delay_matrix
 from repro.sta import Design, Pin, analyze, default_library
 from repro.sta.ssta import (
@@ -18,6 +27,15 @@ from repro.workloads.generators import random_design
 #: The repo's documented canonical-vs-Monte-Carlo tolerances.
 MEAN_TOL = 0.01
 SIGMA_TOL = 0.05
+
+GOLDEN = Path(__file__).resolve().parents[1] / "data" / "ssta_golden.json"
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: The process model of ``benchmarks/bench_ssta.py``.
+BENCH_MODEL = ProcessModel(
+    variation=VariationModel(resistance_sigma=0.08, capacitance_sigma=0.08),
+    rho_r=0.5, rho_c=0.5, cell_sigma=0.05, rho_cell=0.5,
+)
 
 
 @pytest.fixture
@@ -307,3 +325,152 @@ class TestNominalReuse:
             assert serial.outputs[port].mu == sharded.outputs[port].mu
             assert (serial.outputs[port].sigma
                     == sharded.outputs[port].sigma)
+
+
+def _renamed_reconvergent(lib, nets, gates):
+    """The reconvergent fixture with nets/instances renamed by maps."""
+    d = Design("recon", lib)
+    d.add_input("a")
+    d.add_output("z")
+    for name, cell in (("drv", "BUF"), ("p1", "INV"), ("p2", "BUF"),
+                       ("m", "NAND2")):
+        d.add_instance(gates[name], cell)
+    d.connect(nets["na"], ("@port", "a"), [(gates["drv"], "a")])
+    d.connect(nets["nd"], (gates["drv"], "y"),
+              [(gates["p1"], "a"), (gates["p2"], "a")])
+    d.connect(nets["n1"], (gates["p1"], "y"), [(gates["m"], "a")])
+    d.connect(nets["n2"], (gates["p2"], "y"), [(gates["m"], "b")])
+    d.connect(nets["nz"], (gates["m"], "y"), [("@port", "z")])
+    return d
+
+
+def _one_inverter(lib, net, gate):
+    d = Design("one", lib)
+    d.add_input("a")
+    d.add_output("z")
+    d.add_instance(gate, "INV")
+    d.connect(net, ("@port", "a"), [(gate, "a")])
+    d.connect("nz", (gate, "y"), [("@port", "z")])
+    return d
+
+
+class TestSourceIdentity:
+    """Residual sources are structural: names never merge two of them."""
+
+    def test_renaming_one_inverter_keeps_moments(self, lib):
+        # Under string labels, net "cell" element c1 and instance "c1"
+        # both became "cell.c1" and shared one "independent" source.
+        plain = analyze_ssta(_one_inverter(lib, "na", "u1"), BENCH_MODEL)
+        clash = analyze_ssta(_one_inverter(lib, "cell", "c1"), BENCH_MODEL)
+        z, zc = plain.outputs["z"], clash.outputs["z"]
+        assert zc.mu == pytest.approx(z.mu, rel=1e-12)
+        assert zc.sigma == pytest.approx(z.sigma, rel=1e-12)
+        assert len(zc.resid) == len(z.resid)
+
+    @pytest.mark.parametrize("nets, gates", [
+        ({"na": "cell", "nd": "cell.c1", "n1": "max", "n2": "p1",
+          "nz": "outputs"},
+         {"drv": "c1", "p1": "outputs", "p2": "r0", "m": "max"}),
+        ({"na": "a.r1", "nd": "a", "n1": "x#1", "n2": "x", "nz": "z"},
+         {"drv": "c0", "p1": "cell", "p2": "a.r1", "m": "outputs#1"}),
+    ])
+    def test_renaming_keeps_every_output(self, lib, nets, gates):
+        identity = {k: k for k in ("na", "nd", "n1", "n2", "nz")}
+        base = analyze_ssta(
+            _renamed_reconvergent(
+                lib, identity, {k: k for k in ("drv", "p1", "p2", "m")}),
+            BENCH_MODEL,
+        )
+        renamed = analyze_ssta(_renamed_reconvergent(lib, nets, gates),
+                               BENCH_MODEL)
+        for port, form in base.outputs.items():
+            other = renamed.outputs[port]
+            assert other.mu == pytest.approx(form.mu, rel=1e-12)
+            assert other.sigma == pytest.approx(form.sigma, rel=1e-12)
+            assert len(other.resid) == len(form.resid)
+            # Distinct sources keep distinct names.
+            assert len(set(other.resid)) == len(other.resid)
+        assert renamed.critical.sigma == pytest.approx(
+            base.critical.sigma, rel=1e-12)
+
+
+class TestGolden:
+    def test_matches_dict_backed_forms(self):
+        golden = json.loads(GOLDEN.read_text())
+        spec = golden["design"]
+        report = analyze_ssta(
+            random_design(layers=spec["layers"], width=spec["width"],
+                          seed=spec["seed"]),
+            BENCH_MODEL,
+        )
+        assert set(report.outputs) == set(golden["outputs"])
+        for port, (mu, sigma) in golden["outputs"].items():
+            form = report.outputs[port]
+            assert form.mu == pytest.approx(mu, rel=1e-9)
+            assert form.sigma == pytest.approx(sigma, rel=1e-9)
+        assert report.critical.mu == pytest.approx(golden["critical"][0],
+                                                   rel=1e-9)
+        assert report.critical.sigma == pytest.approx(
+            golden["critical"][1], rel=1e-9)
+        for port, weight in golden["criticality"].items():
+            assert report.criticality[port] == pytest.approx(weight,
+                                                             abs=1e-8)
+
+
+def _digest(report):
+    return {port: (form.mu.hex(), form.sigma.hex())
+            for port, form in report.outputs.items()}
+
+
+_ALONE = """
+import json
+from repro.core.variation import VariationModel
+from repro.sta.ssta import ProcessModel, analyze_ssta
+from repro.workloads.generators import random_design
+model = ProcessModel(
+    variation=VariationModel(resistance_sigma=0.08, capacitance_sigma=0.08),
+    rho_r=0.5, rho_c=0.5, cell_sigma=0.05, rho_cell=0.5)
+report = analyze_ssta(random_design(layers=3, width=5, seed=21), model)
+print(json.dumps({p: [f.mu.hex(), f.sigma.hex()]
+                  for p, f in report.outputs.items()}))
+"""
+
+
+class TestProcessState:
+    """``repro serve`` runs analyses in one long-lived process."""
+
+    def test_result_independent_of_earlier_analyses(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        alone = subprocess.run(
+            [sys.executable, "-c", _ALONE], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+        expected = {p: tuple(v) for p, v in
+                    json.loads(alone.stdout.strip().splitlines()[-1]).items()}
+        analyze_ssta(random_design(layers=4, width=6, seed=8), BENCH_MODEL)
+        after_b = analyze_ssta(random_design(layers=3, width=5, seed=21),
+                               BENCH_MODEL)
+        assert _digest(after_b) == expected
+
+    def test_repeated_analyses_leave_module_state_flat(self):
+        design = random_design(layers=3, width=4, seed=6)
+        default_sources = len(canonical._DEFAULT_SOURCES)
+        analyze_ssta(design, BENCH_MODEL)
+        tracemalloc.start()
+        try:
+            # Warm-up fills NumPy's small-buffer cache, which tracemalloc
+            # counts as live.
+            for _ in range(10):
+                analyze_ssta(design, BENCH_MODEL).fail_probability(1e-9)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10):
+                analyze_ssta(design, BENCH_MODEL).fail_probability(1e-9)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # One report of this design holds hundreds of kilobytes; keeping
+        # a fraction of one per call would show here.
+        assert grown < 32 * 1024, grown
+        assert len(canonical._DEFAULT_SOURCES) == default_sources
